@@ -1,4 +1,5 @@
-//! Ablation benches for design choices called out in DESIGN.md:
+//! Ablation benches for design choices not covered by the paper's
+//! evaluation (`repro ablation` prints the same comparisons):
 //!
 //! * fork-join validation vs. serial re-validation vs. re-speculating
 //!   (running the parallel *miner* again, which is what a validator would

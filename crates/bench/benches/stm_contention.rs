@@ -1,14 +1,7 @@
-//! Lock-manager contention bench: acquire/release throughput across
-//! thread counts × key mixes × manager backends.
-//!
-//! The `global-mutex` arm is the pre-sharding manager (kept verbatim in
-//! `cc_bench::contention::baseline`); `sharded-1` is the current manager
-//! constrained to one stripe (hashing + targeted wakeups, no sharding);
-//! `sharded` is the current default. The PR-acceptance number — sharded
-//! vs. global on the 8-thread disjoint workload — falls out of the
-//! `disjoint/.../8t` lines.
+//! Lock-manager contention bench: acquire/release throughput of the
+//! sharded manager across thread counts × key mixes.
 
-use cc_bench::contention::{contention_threads, measure_contention, Backend, Mix};
+use cc_bench::contention::{contention_threads, measure_contention, Mix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 const OPS_PER_THREAD: usize = 2_000;
@@ -17,23 +10,15 @@ fn bench_contention(c: &mut Criterion) {
     for mix in [Mix::Disjoint, Mix::Hot] {
         let mut group = c.benchmark_group(format!("stm_contention/{mix}"));
         group.sample_size(3);
-        for backend in [Backend::Global, Backend::Sharded1, Backend::Sharded] {
-            for &threads in &contention_threads() {
-                group.bench_function(
-                    BenchmarkId::new(backend.to_string(), format!("{threads}t")),
-                    |b| {
-                        b.iter(|| {
-                            let point = measure_contention(backend, threads, OPS_PER_THREAD, mix);
-                            // Surface the throughput the timing alone hides.
-                            println!(
-                                "    -> {}/{}/{}t: {:.0} txns/s",
-                                mix, backend, threads, point.ops_per_sec
-                            );
-                            point.ops_per_sec
-                        })
-                    },
-                );
-            }
+        for &threads in &contention_threads() {
+            group.bench_function(BenchmarkId::new("sharded", format!("{threads}t")), |b| {
+                b.iter(|| {
+                    let point = measure_contention(threads, OPS_PER_THREAD, mix);
+                    // Surface the throughput the timing alone hides.
+                    println!("    -> {mix}/{threads}t: {:.0} txns/s", point.ops_per_sec);
+                    point.ops_per_sec
+                })
+            });
         }
         group.finish();
     }

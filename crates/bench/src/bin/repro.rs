@@ -16,8 +16,7 @@
 //! * `ablation` — design-choice ablations not in the paper: validator
 //!   thread scaling, trace-check overhead, serial re-validation.
 //! * `contention` — lock-manager throughput: threads × disjoint / hot /
-//!   read-heavy (shared-mode) mixes, sharded manager vs. the pre-sharding
-//!   global-mutex baseline.
+//!   read-heavy (shared-mode) mixes on the sharded manager.
 //! * `micro` — per-operation cost of the boosted-storage hot path
 //!   (insert/get/update/add and a read-heavy transaction, plus the
 //!   pre-typed-undo boxed-closure baseline).
@@ -72,7 +71,7 @@
 //! (`BENCH_PR2.json`, …) records the repo's perf trajectory alongside the
 //! code.
 
-use cc_bench::contention::{contention_threads, measure_contention, Backend, ContentionPoint, Mix};
+use cc_bench::contention::{contention_threads, measure_contention, ContentionPoint, Mix};
 use cc_bench::durability::{run_durability, DurabilityPoint};
 use cc_bench::json::Json;
 use cc_bench::micro::{run_micro, MicroPoint};
@@ -438,65 +437,36 @@ fn contention_ops(quick: bool) -> usize {
 fn print_contention(opts: &Options) -> Vec<ContentionPoint> {
     println!("\n== Lock-manager contention: committed lock txns/s ==");
     let ops = contention_ops(opts.quick);
+    println!(
+        "{:>8} {:>16} {:>16} {:>16}",
+        "threads",
+        Mix::Disjoint.to_string(),
+        Mix::Hot.to_string(),
+        Mix::ReadHeavy.to_string()
+    );
     let mut points = Vec::new();
-    for mix in [Mix::Disjoint, Mix::Hot, Mix::ReadHeavy] {
-        println!("\n-- {mix} mix --");
+    for &threads in &contention_threads() {
+        let row: Vec<ContentionPoint> = [Mix::Disjoint, Mix::Hot, Mix::ReadHeavy]
+            .into_iter()
+            .map(|mix| measure_contention(threads, ops, mix))
+            .collect();
         println!(
-            "{:>8} {:>16} {:>16} {:>16}",
-            "threads",
-            Backend::Global.to_string(),
-            Backend::Sharded1.to_string(),
-            Backend::Sharded.to_string()
+            "{:>8} {:>16.0} {:>16.0} {:>16.0}",
+            threads, row[0].ops_per_sec, row[1].ops_per_sec, row[2].ops_per_sec
         );
-        for &threads in &contention_threads() {
-            let row: Vec<ContentionPoint> = [Backend::Global, Backend::Sharded1, Backend::Sharded]
-                .into_iter()
-                .map(|b| measure_contention(b, threads, ops, mix))
-                .collect();
-            println!(
-                "{:>8} {:>16.0} {:>16.0} {:>16.0}",
-                threads, row[0].ops_per_sec, row[1].ops_per_sec, row[2].ops_per_sec
-            );
-            points.extend(row);
-        }
+        points.extend(row);
     }
-    let find = |mix: Mix, backend: Backend, threads: usize| {
-        points
-            .iter()
-            .find(|p| p.mix == mix && p.backend == backend && p.threads == threads)
-            .map(|p| p.ops_per_sec)
-    };
-    if let (Some(global), Some(sharded)) = (
-        find(Mix::Disjoint, Backend::Global, 8),
-        find(Mix::Disjoint, Backend::Sharded, 8),
-    ) {
+    let find =
+        |mix: Mix, threads: usize| points.iter().find(|p| p.mix == mix && p.threads == threads);
+    if let (Some(hot), Some(read_heavy)) = (find(Mix::Hot, 8), find(Mix::ReadHeavy, 8)) {
         println!(
-            "\n8-thread disjoint workload: sharded manager {:.2}x the global-mutex baseline",
-            sharded / global
+            "\n8-thread hot key: shared-mode read-heavy mix {:.2}x the all-exclusive mix's throughput",
+            read_heavy.ops_per_sec / hot.ops_per_sec
         );
-    }
-    let find_waits = |mix: Mix, backend: Backend, threads: usize| {
-        points
-            .iter()
-            .find(|p| p.mix == mix && p.backend == backend && p.threads == threads)
-            .map(|p| p.waits_per_1k)
-    };
-    if let (Some(hot), Some(read_heavy)) = (
-        find(Mix::Hot, Backend::Sharded, 8),
-        find(Mix::ReadHeavy, Backend::Sharded, 8),
-    ) {
         println!(
-            "8-thread hot key: shared-mode read-heavy mix {:.2}x the all-exclusive mix's throughput",
-            read_heavy / hot
-        );
-    }
-    if let (Some(hot), Some(read_heavy)) = (
-        find_waits(Mix::Hot, Backend::Sharded, 8),
-        find_waits(Mix::ReadHeavy, Backend::Sharded, 8),
-    ) {
-        println!(
-            "8-thread hot key conflict rate: {hot:.1} waits/1k txns all-exclusive vs \
-             {read_heavy:.1} waits/1k txns read-heavy (shared readers do not block)"
+            "8-thread hot key conflict rate: {:.1} waits/1k txns all-exclusive vs \
+             {:.1} waits/1k txns read-heavy (shared readers do not block)",
+            hot.waits_per_1k, read_heavy.waits_per_1k
         );
     }
     points
@@ -640,7 +610,9 @@ fn contention_json(points: &[ContentionPoint]) -> Json {
             .map(|p| {
                 Json::object([
                     ("mix", Json::str(p.mix.to_string())),
-                    ("backend", Json::str(p.backend.to_string())),
+                    // Only the sharded manager is measured; the key keeps
+                    // labels in line with older baselines for `repro diff`.
+                    ("backend", Json::str("sharded")),
                     ("threads", Json::num(p.threads as u32)),
                     ("txns_per_sec", Json::num(p.ops_per_sec)),
                     ("waits_per_1k", Json::num(p.waits_per_1k)),

@@ -15,31 +15,14 @@
 //!
 //! [`Node::run_follower_pipeline`] keeps speculative validation and the
 //! overlay commit (see [`super::pending`]) on the calling thread and
-//! moves the WAL seal to a dedicated durability worker. While the
-//! worker fsyncs block N, the caller is already replaying block N+1
-//! against N's pending post-state. The stages are joined by a **bounded
-//! hand-off channel** ([`FollowerConfig::max_in_flight`]): when the
-//! durability stage falls behind, the hand-off blocks and validation
-//! stops speculating further ahead — back-pressure, not unbounded
-//! queueing.
-//!
-//! # Invariants
-//!
-//! * **In-order commit.** Overlays flatten oldest-first
-//!   ([`super::pending::PendingChain::commit`]), blocks append and seal
-//!   in chain order, and only *fully validated* blocks (state root
-//!   included) reach the WAL — recovery never replays a block this
-//!   follower did not accept.
-//! * **Bounded speculation.** At most `max_in_flight` blocks are
-//!   validated but not yet durable, counting both pending overlays and
-//!   sealed-but-unacknowledged blocks.
-//! * **Stale on persist failure** (the PR 8 invariant, preserved). If a
-//!   seal fails, the node marks itself stale, truncates the in-memory
-//!   chain back to the last durable block, discards every pending
-//!   overlay, and returns the failure. [`Node::recover`] is the exit.
-//! * **Quiesced snapshots.** Periodic snapshots drain all in-flight
-//!   seals (a barrier) before serializing the world, so the WAL reset
-//!   never races an in-flight seal.
+//! hands each committed block to the node's durability stage
+//! (`node/durability.rs`). While the stage fsyncs block N, the caller
+//! is already replaying block N+1 against N's pending post-state. The
+//! stage's invariants — back-pressure, in-order commit,
+//! stale-and-truncate, quiesced snapshots — are stated in the crate
+//! README's "Durability stage" section. On top of them, only *fully
+//! validated* blocks (state root included) reach the WAL, so recovery
+//! never replays a block this follower did not accept.
 //!
 //! A *speculate-time* rejection (bad receipts, bad traces, a hidden
 //! race) never touches the base state: the follower drains its valid
@@ -49,14 +32,12 @@
 //! world before it can reject. Only a commit-time state-root mismatch
 //! (the one check that needs the flattened base) stales the follower.
 
+use super::durability::{DurabilityStage, PipelineReport};
 use super::pending::PendingChain;
 use super::Node;
 use crate::engine::ExecutionStrategy;
 use crate::error::CoreError;
 use cc_ledger::Block;
-use std::sync::mpsc;
-use std::thread;
-use std::time::{Duration, Instant};
 
 /// Tuning for [`Node::run_follower_pipeline`].
 #[derive(Debug, Clone, Copy)]
@@ -91,48 +72,20 @@ impl FollowerConfig {
     }
 }
 
-/// What a follower pipeline run produced (see
-/// [`Node::run_follower_pipeline`]).
-#[derive(Debug, Clone, Default)]
-pub struct FollowerReport {
-    /// Blocks validated, appended and made durable.
-    pub blocks: u64,
-    /// Transactions across those blocks.
-    pub transactions: usize,
-    /// Periodic snapshots written (each one a pipeline barrier).
-    pub snapshots: u64,
-    /// Time the validation stage spent blocked handing blocks to the
-    /// durability stage (back-pressure) or draining it (snapshot
-    /// barriers, final drain). The sequential path would have spent at
-    /// least this long sealing inline; a small value with durability on
-    /// means the fsyncs hid behind validation almost entirely.
-    pub stalled: Duration,
-}
-
-/// A seal acknowledgement from the durability worker: block number plus
-/// the seal outcome (`io::Error` rendered, it is not `Clone`).
-type SealAck = (u64, Result<(), String>);
+/// What a follower pipeline run produced: the same report as the
+/// producer's (see [`Node::run_follower_pipeline`]).
+pub type FollowerReport = PipelineReport;
 
 impl Node {
-    /// Whether the engine's configuration calls for lock-trace checks
-    /// during speculative validation (a serial engine replays
-    /// schedule-less blocks, which carry no profiles to check).
-    pub(super) fn speculation_checks_traces(&self) -> bool {
-        self.engine.config().check_traces && self.engine.strategy() != ExecutionStrategy::Serial
-    }
-
     /// Validates a stream of `blocks` against this node's chain,
     /// overlapping each block's WAL seal/fsync with the speculative
     /// validation of the next (see the [module docs](self) for the stage
-    /// diagram and invariants). Returns once every accepted block is
-    /// durable.
+    /// diagram). Returns once every accepted block is durable.
     ///
     /// The chain, world and durable artifacts are **byte-identical** to
     /// what the same stream produces through sequential
     /// [`Node::validate_and_append`] calls — the pipeline reorders work
-    /// against the wall clock, never against the chain. Without
-    /// durability there is nothing to overlap and the loop degenerates
-    /// to speculate-then-commit per block.
+    /// against the wall clock, never against the chain.
     ///
     /// # Errors
     ///
@@ -153,201 +106,50 @@ impl Node {
         I: IntoIterator<Item = Block>,
     {
         self.ensure_fresh()?;
-        let check_traces = self.speculation_checks_traces();
-        let mut report = FollowerReport::default();
-        let mut blocks = blocks.into_iter();
-
-        let Some(state) = &self.durability else {
-            // Nothing to overlap: speculate and commit back to back.
-            let mut pending =
-                PendingChain::new(&self.world, self.chain.head_hash(), config.max_in_flight)
-                    .with_trace_checks(check_traces);
-            for block in blocks {
-                let hash = pending.speculate(pending.tip_hash(), &block)?;
-                let committed = match pending.commit(&hash) {
-                    Ok(block) => block,
-                    Err(e) => {
-                        self.stale = true;
-                        return Err(e);
-                    }
-                };
-                report.blocks += 1;
-                report.transactions += committed.transactions.len();
-                self.chain
-                    .append(committed)
-                    .map_err(|e| CoreError::rejected(e.to_string()))?;
-            }
-            return Ok(report);
-        };
-
-        let wal = state.wal.clone();
-        let snapshot_interval = state.config.snapshot_interval;
-        let (work_tx, work_rx) = mpsc::sync_channel::<Block>(config.max_in_flight.max(1) - 1);
-        let (ack_tx, ack_rx) = mpsc::channel::<SealAck>();
-        let worker = thread::Builder::new()
-            .name("cc-durability".into())
-            .spawn(move || {
-                // In-order commit: one worker, FIFO channel. Stop at the
-                // first failure — later seals would lie about durability.
-                for block in work_rx {
-                    let number = block.header.number;
-                    let sealed = wal.seal_block(&block).map_err(|e| e.to_string());
-                    let failed = sealed.is_err();
-                    if ack_tx.send((number, sealed)).is_err() || failed {
-                        return;
-                    }
-                }
-            })
-            .expect("spawn durability worker");
-
-        // Everything at or below `durable` is safe against a crash. The
-        // run starts from a fully persisted head (the node is fresh).
-        let mut durable = self.chain.head().header.number;
-        let mut in_flight = 0u64;
-        let mut failure: Option<String> = None;
-        // A speculate-time rejection: remember it, stop consuming input,
-        // and drain the valid pending prefix before returning it.
-        let mut rejection: Option<CoreError> = None;
-        let mut exhausted = false;
+        // A serial engine replays schedule-less blocks, which carry no
+        // lock profiles to check.
+        let check_traces = self.engine.config().check_traces
+            && self.engine.strategy() != ExecutionStrategy::Serial;
+        let mut blocks = blocks.into_iter().fuse();
+        let mut stage = DurabilityStage::start(self, config.max_in_flight);
         let mut pending =
             PendingChain::new(&self.world, self.chain.head_hash(), config.max_in_flight)
                 .with_trace_checks(check_traces);
-
-        let absorb = |acks: &mut dyn Iterator<Item = SealAck>,
-                      durable: &mut u64,
-                      in_flight: &mut u64,
-                      failure: &mut Option<String>| {
-            for (number, sealed) in acks {
-                *in_flight -= 1;
-                match sealed {
-                    Ok(()) => *durable = number,
-                    Err(reason) => {
-                        *failure = Some(format!("sealing block {number} failed: {reason}"));
-                        break;
-                    }
-                }
-            }
-        };
+        // A speculate-time rejection: remember it, stop consuming input,
+        // and drain the valid pending prefix before returning it.
+        let mut rejection: Option<CoreError> = None;
 
         let outcome = loop {
-            // Collect whatever the durability stage finished meanwhile.
-            absorb(
-                &mut ack_rx.try_iter(),
-                &mut durable,
-                &mut in_flight,
-                &mut failure,
-            );
-            if failure.is_some() {
+            if stage.failed() {
                 break Ok(());
             }
-
             // Keep the speculation window full, so the next block
             // validates against its predecessor's still-pending
             // post-state while that predecessor's seal is in flight.
-            while !pending.is_full() && !exhausted && rejection.is_none() {
-                match blocks.next() {
-                    Some(block) => {
-                        if let Err(e) = pending.speculate(pending.tip_hash(), &block) {
-                            // The rejected block's overlay is already
-                            // discarded; its descendants (the rest of
-                            // the stream) are dropped unconsumed.
-                            rejection = Some(e);
-                        }
-                    }
-                    None => exhausted = true,
-                }
+            while !pending.is_full() && rejection.is_none() {
+                let Some(block) = blocks.next() else { break };
+                // A rejected block's overlay is already discarded; its
+                // descendants (the rest of the stream) go unconsumed.
+                rejection = pending.speculate(pending.tip_hash(), &block).err();
             }
-
-            // Commit the oldest pending overlay, append it and hand it
-            // to the durability stage. An empty window means the stream
-            // is drained (or rejected): flush and exit.
+            // Commit the oldest overlay and hand it to the durability
+            // stage. An empty window means the stream is drained (or
+            // rejected). A commit error is a state-root mismatch that
+            // has polluted the base; the stage stales the node.
             let Some(oldest) = pending.oldest_hash() else {
                 break Ok(());
             };
-            let committed = match pending.commit(&oldest) {
-                // A state-root mismatch has polluted the base; the
-                // outcome arm below stales the node.
-                Err(e) => break Err(e),
-                Ok(block) => block,
-            };
-            report.blocks += 1;
-            report.transactions += committed.transactions.len();
-            let number = committed.header.number;
-            if let Err(e) = self.chain.append(committed.clone()) {
-                break Err(CoreError::rejected(e.to_string()));
-            }
-
-            // A full channel is the back-pressure point. A closed
-            // channel means the worker hit a failure whose ack is (or
-            // will be) in ack_rx.
-            let handoff = Instant::now();
-            if work_tx.send(committed).is_ok() {
-                in_flight += 1;
-            }
-            report.stalled += handoff.elapsed();
-
-            if number.is_multiple_of(snapshot_interval) {
-                // Snapshot barrier: drain the durability stage, then
-                // serialize the quiesced world and reset the WAL.
-                let drain = Instant::now();
-                absorb(
-                    &mut ack_rx.iter().take(in_flight as usize),
-                    &mut durable,
-                    &mut in_flight,
-                    &mut failure,
-                );
-                report.stalled += drain.elapsed();
-                if failure.is_some() {
-                    break Ok(());
-                }
-                if let Err(e) = self.write_snapshot() {
-                    break Err(e);
-                }
-                report.snapshots += 1;
+            let step = pending
+                .commit(&oldest)
+                .and_then(|block| stage.append(&mut self.chain, &self.world, block));
+            if let Err(e) = step {
+                break Err(e);
             }
         };
-
-        // Final drain: close the hand-off, absorb outstanding acks, join.
-        drop(work_tx);
-        let drain = Instant::now();
-        absorb(
-            &mut ack_rx.iter(),
-            &mut durable,
-            &mut in_flight,
-            &mut failure,
-        );
-        report.stalled += drain.elapsed();
-        worker.join().expect("durability worker panicked");
-
-        match (outcome, failure) {
-            (Err(e), _) => {
-                // Commit-time rejection or snapshot failure: the base
-                // world holds effects the chain does not vouch for.
-                pending.discard_all();
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(e)
-            }
-            (Ok(()), Some(reason)) => {
-                // The PR 8 invariant, pipelined: never let the in-memory
-                // chain advertise blocks the WAL cannot recover.
-                pending.discard_all();
-                self.stale = true;
-                self.chain.truncate_to(durable);
-                Err(CoreError::durability(reason))
-            }
-            (Ok(()), None) => {
-                debug_assert!(pending.is_empty());
-                debug_assert_eq!(durable, self.chain.head().header.number);
-                // The world and chain sit consistently at the last
-                // accepted block; a speculate-time rejection propagates
-                // without staling the node.
-                match rejection {
-                    Some(e) => Err(e),
-                    None => Ok(report),
-                }
-            }
-        }
+        // Overlays left behind by a failure are rolled back.
+        pending.discard_all();
+        let report = stage.finish(self, outcome)?;
+        rejection.map_or(Ok(report), Err)
     }
 }
 
@@ -479,28 +281,38 @@ mod tests {
 
     #[test]
     fn seal_failure_stales_and_rolls_back_to_the_durable_prefix() {
-        let dir = temp_dir("seal-fail");
-        std::fs::remove_dir_all(&dir).ok();
         let blocks = mined_blocks(5);
-        // Interval past the run: no snapshot resets the failure arm.
-        let mut follower = durable_follower(&dir, 100);
-        // Two seals succeed (blocks 1 and 2), the third fails mid-run.
-        follower.wal().unwrap().inject_seal_failures(2);
-        let err = follower
-            .run_follower_pipeline(blocks, &FollowerConfig::new())
-            .unwrap_err();
-        assert!(err.to_string().contains("sealing block 3"), "got: {err}");
-        assert!(follower.is_stale());
-        assert_eq!(
-            follower.chain().head().header.number,
-            2,
-            "chain rolled back to the durable prefix"
-        );
-        // Stale node refuses further pipelining.
-        assert!(follower
-            .run_follower_pipeline(Vec::new(), &FollowerConfig::new())
-            .is_err());
-        std::fs::remove_dir_all(&dir).ok();
+        // Interval 100 puts no snapshot in the run; interval 3 makes the
+        // failing block a snapshot barrier.
+        for interval in [100, 3] {
+            let dir = temp_dir(&format!("seal-fail-{interval}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut follower = durable_follower(&dir, interval);
+            // Two seals succeed (blocks 1 and 2), the third fails mid-run.
+            follower.wal().unwrap().inject_seal_failures(2);
+            let err = follower
+                .run_follower_pipeline(blocks.clone(), &FollowerConfig::new())
+                .unwrap_err();
+            assert!(err.to_string().contains("sealing block 3"), "got: {err}");
+            assert!(follower.is_stale());
+            assert_eq!(
+                follower.chain().head().header.number,
+                2,
+                "interval {interval}: chain rolled back to the durable prefix"
+            );
+            // Stale node refuses further pipelining.
+            assert!(follower
+                .run_follower_pipeline(Vec::new(), &FollowerConfig::new())
+                .is_err());
+            // A failed seal never reaches a snapshot: recovery returns
+            // the durable prefix.
+            drop(follower);
+            let config = DurabilityConfig::new(&dir, DurabilityMode::Fsync);
+            let engine = EngineConfig::new().threads(2).build().unwrap();
+            let recovered = Node::recover(config, fresh_world(), engine).unwrap();
+            assert_eq!(recovered.chain().head().header.number, 2);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! optionally a durable ledger (write-ahead log plus periodic snapshots)
 //! that [`Node::recover`] can rebuild the node from after a crash.
 
+mod durability;
 pub mod follower;
 pub mod pending;
 pub mod pipeline;
@@ -13,10 +14,11 @@ use crate::miner::{MinedBlock, Miner};
 use crate::stats::ValidationReport;
 use crate::validator::Validator;
 use cc_ledger::wal::{DurabilityMode, Wal, WAL_FILE};
-use cc_ledger::{Block, Blockchain, ChainError, SnapshotFile, Transaction};
+use cc_ledger::{Block, Blockchain, ChainError, Transaction};
 use cc_mempool::{Mempool, MempoolConfig, SubmitOutcome};
 use cc_vm::World;
-use pending::PendingChain;
+use durability::DurabilityState;
+use follower::FollowerConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -65,14 +67,6 @@ impl DurabilityConfig {
     }
 }
 
-/// Live durability machinery of a node: its config plus the open WAL
-/// (shared with the execution runtimes as their durability sink).
-#[derive(Debug)]
-struct DurabilityState {
-    config: DurabilityConfig,
-    wal: Arc<Wal>,
-}
-
 /// A node that owns a world, a chain and the [`Engine`] that executes
 /// blocks, keeping all three consistent.
 ///
@@ -107,10 +101,11 @@ pub struct Node {
     /// Set when the in-memory state can no longer be trusted to match
     /// what the node has promised: a validation rejected a block *after*
     /// replaying it (the world holds effects of a block that was never
-    /// appended), or persisting an appended block failed (the in-memory
-    /// chain is ahead of what the WAL can recover). A stale node refuses
-    /// further work; rebuild it with [`Node::recover`] (when durability
-    /// is on) or from a trusted state.
+    /// appended), or persisting an appended block failed (the chain was
+    /// truncated to the durable prefix, but the world may hold effects
+    /// of the discarded blocks). A stale node refuses further work;
+    /// rebuild it with [`Node::recover`] (when durability is on) or from
+    /// a trusted state.
     stale: bool,
     durability: Option<DurabilityState>,
     mempool: Mempool,
@@ -216,17 +211,16 @@ impl Node {
     /// built with (same deployed contracts and seeded state) — contracts
     /// are native code and cannot be serialized, so recovery is
     /// deterministic re-execution: the latest valid snapshot anchors the
-    /// chain, every recovered block is replayed through the same
-    /// speculative [`pending::PendingChain`] the follower pipeline uses
-    /// (any strategy works — blocks carry their schedules, and a serial
-    /// engine skips the trace checks), the replayed world is compared
-    /// **bit-for-bit**
-    /// against the snapshot's world bytes at the snapshot height, and
-    /// sealed blocks from the WAL's valid prefix extend the chain past
-    /// it. Torn or corrupt WAL tails are dropped; effects of aborted or
-    /// unsealed transactions never survive because only sealed blocks
-    /// are replayed. The WAL is then reopened (truncating the torn
-    /// tail) and the node resumes durable operation.
+    /// chain, every recovered block is replayed through
+    /// [`Node::run_follower_pipeline`] (any strategy works — blocks carry
+    /// their schedules, and a serial engine skips the trace checks), the
+    /// replayed world is compared **bit-for-bit** against the snapshot's
+    /// world bytes at the snapshot height, and sealed blocks from the
+    /// WAL's valid prefix extend the chain past it. Torn or corrupt WAL
+    /// tails are dropped; effects of aborted or unsealed transactions
+    /// never survive because only sealed blocks are replayed. The WAL is
+    /// then reopened (truncating the torn tail) and the node resumes
+    /// durable operation.
     ///
     /// # Errors
     ///
@@ -249,94 +243,53 @@ impl Node {
                 "supplied initial world does not match the recovered genesis state root",
             ));
         }
-        let genesis_hash = genesis.hash();
-        let check_snapshot = |world: &World| -> Result<(), CoreError> {
-            if world.snapshot().to_bytes() != recovered.snapshot_world_bytes {
-                return Err(CoreError::durability(format!(
-                    "replayed world diverges from snapshot bytes at height {}",
-                    recovered.snapshot_height
-                )));
-            }
-            Ok(())
-        };
-        if recovered.snapshot_height == 0 {
-            check_snapshot(&world)?;
+        // Replay through the follower pipeline on a node that is not yet
+        // durable, so nothing is sealed twice: first up to the snapshot
+        // height, where the world must match the snapshot byte for byte,
+        // then the WAL's sealed blocks past it.
+        let mut node = Node::new(world, engine);
+        let height = recovered.snapshot_height;
+        let mut blocks = recovered.chain.iter().skip(1).cloned();
+        node.replay(blocks.by_ref().take(height as usize))?;
+        if node.world.snapshot().to_bytes() != recovered.snapshot_world_bytes {
+            return Err(CoreError::durability(format!(
+                "replayed world diverges from snapshot bytes at height {height}"
+            )));
         }
-        // The rebuilt chain also seeds the fresh mempool's per-sender
-        // nonce boundaries: post-recovery submissions resume where the
-        // chain left off instead of parking behind already-mined nonces.
-        let mempool = Mempool::default();
-        {
-            // Replay through the same speculative pending chain the
-            // follower pipeline uses: each recovered block validates
-            // against its predecessor's pending post-state, and the
-            // in-order commit flattens the overlay *before* the
-            // bit-for-bit snapshot comparison at the snapshot height.
-            let check_traces = engine.config().check_traces
-                && engine.strategy() != crate::engine::ExecutionStrategy::Serial;
-            let mut pending = PendingChain::new(
-                &world,
-                genesis_hash,
-                follower::FollowerConfig::DEFAULT_MAX_IN_FLIGHT,
-            )
-            .with_trace_checks(check_traces);
-            let replay_err = |number: u64, e: CoreError| {
+        node.replay(blocks)?;
+        // The rebuilt chain seeds the mempool's per-sender nonce
+        // boundaries: post-recovery submissions resume where the chain
+        // left off instead of parking behind already-mined nonces.
+        for tx in node.chain.iter().flat_map(|block| &block.transactions) {
+            node.mempool.observe_consumed(tx.sender, tx.nonce + 1);
+        }
+        if config.mode() != DurabilityMode::Off {
+            let wal = Wal::open_append(config.dir().join(WAL_FILE), config.mode())
+                .map_err(CoreError::durability)?;
+            node.attach_durability(DurabilityState {
+                config,
+                wal: Arc::new(wal),
+            });
+        }
+        Ok(node)
+    }
+
+    /// Replays recovered `blocks` through the follower pipeline; any
+    /// failure is a [`CoreError::Durability`] naming the first block
+    /// that did not replay.
+    fn replay(&mut self, blocks: impl Iterator<Item = Block>) -> Result<(), CoreError> {
+        self.run_follower_pipeline(blocks, &FollowerConfig::new())
+            .map_err(|e| {
+                let number = self.chain.head().header.number + 1;
                 CoreError::durability(format!("replay of recovered block {number} failed: {e}"))
-            };
-            let commit_oldest = |pending: &mut PendingChain<'_>| -> Result<(), CoreError> {
-                let Some(oldest) = pending.oldest_hash() else {
-                    return Ok(());
-                };
-                let number = pending
-                    .pending_state(&oldest)
-                    .expect("oldest is pending")
-                    .number;
-                pending.commit(&oldest).map_err(|e| replay_err(number, e))?;
-                if number == recovered.snapshot_height {
-                    check_snapshot(&world)?;
-                }
-                Ok(())
-            };
-            for block in recovered.chain.iter().skip(1) {
-                if pending.is_full() {
-                    commit_oldest(&mut pending)?;
-                }
-                pending
-                    .speculate(pending.tip_hash(), block)
-                    .map_err(|e| replay_err(block.header.number, e))?;
-                for tx in &block.transactions {
-                    mempool.observe_consumed(tx.sender, tx.nonce + 1);
-                }
-            }
-            while !pending.is_empty() {
-                commit_oldest(&mut pending)?;
-            }
-        }
-        let durability = if config.mode() == DurabilityMode::Off {
-            None
-        } else {
-            let wal = Arc::new(
-                Wal::open_append(config.dir().join(WAL_FILE), config.mode())
-                    .map_err(CoreError::durability)?,
-            );
-            world.stm().lock_manager().attach_durability(wal.clone());
-            world.mvcc().attach_durability(wal.clone());
-            Some(DurabilityState { config, wal })
-        };
-        Ok(Node {
-            world,
-            chain: recovered.chain,
-            engine,
-            stale: false,
-            durability,
-            mempool,
-        })
+            })?;
+        Ok(())
     }
 
     /// Whether this node's state has been corrupted by a rejected
     /// validation (see [`Node::validate_and_append`]) or by a failed
-    /// block persistence (the in-memory chain advanced past what the
-    /// WAL can recover). A stale node refuses to mine or validate;
+    /// block persistence (the chain is truncated to the durable prefix,
+    /// the world is not rolled back with it). A stale node refuses to mine or validate;
     /// rebuild it with [`Node::recover`] from its durability directory,
     /// or from a trusted state.
     pub fn is_stale(&self) -> bool {
@@ -357,71 +310,28 @@ impl Node {
             return Ok(());
         }
         std::fs::create_dir_all(config.dir()).map_err(CoreError::durability)?;
-        let wal = Arc::new(
-            Wal::create(config.dir().join(WAL_FILE), config.mode())
-                .map_err(CoreError::durability)?,
-        );
+        let wal = Wal::create(config.dir().join(WAL_FILE), config.mode())
+            .map_err(CoreError::durability)?;
+        let state = DurabilityState {
+            config,
+            wal: Arc::new(wal),
+        };
+        // The genesis snapshot: recovery always has an anchor, even if
+        // the node crashes before the first periodic snapshot.
+        state.write_snapshot(&self.chain, &self.world)?;
+        self.attach_durability(state);
+        Ok(())
+    }
+
+    /// Makes `state`'s WAL the node's log and the execution runtimes'
+    /// durability sink.
+    fn attach_durability(&mut self, state: DurabilityState) {
         self.world
             .stm()
             .lock_manager()
-            .attach_durability(wal.clone());
-        self.world.mvcc().attach_durability(wal.clone());
-        self.durability = Some(DurabilityState { config, wal });
-        // The genesis snapshot: recovery always has an anchor, even if
-        // the node crashes before the first periodic snapshot.
-        self.write_snapshot()
-    }
-
-    /// Writes a world snapshot at the current head and resets the WAL
-    /// (its records are now redundant). No-op without durability.
-    fn write_snapshot(&self) -> Result<(), CoreError> {
-        let Some(state) = &self.durability else {
-            return Ok(());
-        };
-        let head = self.chain.head();
-        let snapshot = SnapshotFile {
-            height: head.header.number,
-            block_hash: head.hash(),
-            state_root: head.header.state_root,
-            blocks: self.chain.iter().cloned().collect(),
-            world_bytes: self.world.snapshot().to_bytes(),
-        };
-        snapshot
-            .write_to(state.config.dir())
-            .map_err(CoreError::durability)?;
-        state.wal.reset().map_err(CoreError::durability)
-    }
-
-    /// Seals `block` into the WAL (the group-commit point) and takes a
-    /// periodic snapshot when the configured interval elapses. No-op
-    /// without durability.
-    ///
-    /// The block is already on the in-memory chain when this runs, so a
-    /// persistence failure means durable state has fallen behind what
-    /// the node would keep serving: the node marks itself stale rather
-    /// than letting the two silently diverge (a later crash would
-    /// recover a shorter chain than the one the node advertised).
-    fn persist_block(&mut self, block: &Block) -> Result<(), CoreError> {
-        if let Err(e) = self.persist_block_inner(block) {
-            self.stale = true;
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    fn persist_block_inner(&self, block: &Block) -> Result<(), CoreError> {
-        let Some(state) = &self.durability else {
-            return Ok(());
-        };
-        state.wal.seal_block(block).map_err(CoreError::durability)?;
-        if block
-            .header
-            .number
-            .is_multiple_of(state.config.snapshot_interval)
-        {
-            self.write_snapshot()?;
-        }
-        Ok(())
+            .attach_durability(state.wal.clone());
+        self.world.mvcc().attach_durability(state.wal.clone());
+        self.durability = Some(state);
     }
 
     /// The node's world (current state).
@@ -505,7 +415,10 @@ impl Node {
     /// # Errors
     ///
     /// Returns the miner's error, or a [`CoreError::BlockRejected`] if the
-    /// assembled block unexpectedly fails structural chain checks.
+    /// assembled block unexpectedly fails structural chain checks. A
+    /// failed seal or snapshot is a [`CoreError::Durability`]: the node
+    /// goes stale with its chain truncated to the durable prefix, as in
+    /// the pipelines.
     pub fn mine_and_append(
         &mut self,
         transactions: Vec<Transaction>,
@@ -543,7 +456,9 @@ impl Node {
     /// # Errors
     ///
     /// Propagates the validator's rejection, or rejects blocks that do not
-    /// extend this node's chain.
+    /// extend this node's chain. A failed seal or snapshot stales the
+    /// node and truncates its chain to the durable prefix, as in
+    /// [`Node::mine_and_append`].
     ///
     /// A rejection may leave the world holding effects of the rejected
     /// block (validation mutates the world; see
@@ -822,10 +737,30 @@ mod tests {
         assert!(err.to_string().contains("durability"), "got: {err}");
         assert!(node.is_stale(), "failed persistence must stale the node");
 
-        // The in-memory chain is ahead of durable state; the node fails
-        // fast instead of serving blocks a crash would forget.
+        // The node fails fast instead of serving further blocks.
         let err = node.mine_and_append(block_txs(100, 2)).unwrap_err();
         assert!(err.to_string().contains("stale"), "got: {err}");
+
+        // A failed seal also truncates the chain to the durable prefix,
+        // as in both pipelines: the unsealed block is not advertised.
+        let dir = temp_dir("seal-fail");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut node = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(DurabilityConfig::new(&dir, DurabilityMode::Buffered))
+            .build()
+            .unwrap();
+        node.wal().unwrap().inject_seal_failures(1);
+        node.mine_and_append(block_txs(0, 4)).unwrap();
+        let err = node.mine_and_append(block_txs(100, 4)).unwrap_err();
+        assert!(
+            err.to_string().contains("injected seal failure"),
+            "got: {err}"
+        );
+        assert!(node.is_stale());
+        assert_eq!(node.chain().head().header.number, 1);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -860,6 +795,35 @@ mod tests {
         let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered);
         let err = Node::recover(config, fresh_world(), Engine::default()).unwrap_err();
         assert!(matches!(err, CoreError::Durability { .. }), "got: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_names_the_sealed_block_that_does_not_replay() {
+        let dir = temp_dir("bad-replay");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = DurabilityConfig::new(&dir, DurabilityMode::Buffered);
+        let mut producer = engine_node(2);
+        let first = producer.mine_and_append(block_txs(0, 4)).unwrap().block;
+        let mut forged = producer.mine_and_append(block_txs(100, 4)).unwrap().block;
+        // Block 2 keeps its honest body but commits to a forged state
+        // root: structurally sound, so only replay can catch it.
+        forged.header.state_root = cc_primitives::sha256(b"forged");
+
+        let mut node = Node::builder()
+            .world(fresh_world())
+            .config(EngineConfig::new().threads(2))
+            .durability(config.clone())
+            .build()
+            .unwrap();
+        node.validate_and_append(&first).unwrap();
+        node.wal().unwrap().seal_block(&forged).unwrap();
+        drop(node);
+
+        let engine = EngineConfig::new().threads(2).build().unwrap();
+        let err = Node::recover(config, fresh_world(), engine).unwrap_err();
+        assert!(matches!(err, CoreError::Durability { .. }), "got: {err}");
+        assert!(err.to_string().contains("recovered block 2"), "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,8 +17,10 @@
 //! It is applied for storage operations, calls, logs and explicit
 //! computation steps — not for the fixed per-transaction base charge — so
 //! conflicting transactions still serialize over the bulk of their work
-//! exactly as they would on the paper's substrate. The substitution is
-//! recorded in DESIGN.md.
+//! exactly as they would on the paper's substrate. This is the *paper*
+//! cost model; `work_per_gas = 0` is the *native* one, the engine's own
+//! cost. `nodebench/README.md` explains which model each benchmark runs
+//! and why only the paper model is gated.
 
 use std::hint::black_box;
 
